@@ -7,7 +7,14 @@ needs to survive a process boundary.  :func:`save_model` writes two files:
 - ``<prefix>.json`` — structure: feature specs, level count, training
   trace, item ids, vocabularies, and the user order;
 - ``<prefix>.npz`` — arrays: per-cell distribution parameters, encoded
-  feature columns, per-user assignments and action times.
+  feature columns, and the columnar assignment state — one flat
+  ``levels`` and one flat ``times`` array over all users, concatenated in
+  the JSON's user order, plus ``offsets`` (``len(users) + 1`` prefix
+  sums, the layout :class:`~repro.data.store.ActionStore` uses), so the
+  member count does not grow with the user count.
+
+Format version 2 is that columnar layout; version 1 artifacts (two
+members per user, ``assign_{k}``/``times_{k}``) still load.
 
 No pickling: everything is JSON or plain ``numpy`` arrays, so models load
 safely across library versions and from untrusted storage.  Identifiers
@@ -31,6 +38,7 @@ import os
 import struct
 from collections.abc import Callable, Mapping
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +53,8 @@ from repro.obs.telemetry import TrainingTelemetry
 __all__ = [
     "artifact_metadata",
     "attach_model_shm",
+    "LoadedArtifact",
+    "load_artifact",
     "load_model",
     "load_similarity_payload",
     "model_resident_bytes",
@@ -55,7 +65,11 @@ __all__ = [
 
 _log = get_logger("core.serialize")
 
-_FORMAT_VERSION = 1
+#: Version written by :func:`save_model` and :func:`publish_model_shm`:
+#: 2 is the columnar ``levels``/``times``/``offsets`` layout.  Version 1
+#: (per-user ``assign_{k}``/``times_{k}`` arrays) is still read.
+_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 #: Reserved array-name prefix for the optional item-similarity index
 #: (``repro.recsys.similarity``).  The canonical model arrays never use
@@ -153,6 +167,27 @@ def _atomic_commit(writes: list[tuple[Path, bytes]]) -> None:
         raise
 
 
+def _flat_assignments(
+    model: SkillModel, users: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(levels, times, offsets)``: every user's path, concatenated in
+    ``users`` order, with ``len(users) + 1`` int64 prefix-sum offsets."""
+    paths = [model.assignments[user] for user in users]
+    stamps = [model._assignment_times[user] for user in users]
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(users))
+    if not np.array_equal(
+        lengths, np.fromiter(map(len, stamps), dtype=np.int64, count=len(users))
+    ):
+        raise DataError("model has users whose level and time arrays differ in length")
+    offsets = np.zeros(len(users) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    if not users:  # np.concatenate refuses an empty list
+        return np.zeros(0, np.int64), np.zeros(0, np.float64), offsets
+    levels = np.concatenate(paths).astype(np.int64, copy=False)
+    times = np.concatenate(stamps).astype(np.float64, copy=False)
+    return levels, times, offsets
+
+
 def _model_payload(
     model: SkillModel, *, extra: dict | None = None, similarity: Mapping | None = None
 ) -> tuple[dict, dict[str, np.ndarray]]:
@@ -162,8 +197,11 @@ def _model_payload(
     the arrays into the NPZ half of the artifact pair, and
     :func:`publish_model_shm` lays them out in one shared-memory segment
     for the prefork serving workers.  Both reconstruct through
-    :func:`_restore_model`, so the array naming (``cell_{s}_{f}``,
-    ``column_{f}``, ``assign_{k}``, ``times_{k}``) is the one contract.
+    :func:`_restore_model`, so the array naming is the one contract:
+    ``cell_{s}_{f}``, ``column_{f}``, and the columnar assignment state
+    ``levels``/``times``/``offsets`` (user ``k`` owns
+    ``levels[offsets[k]:offsets[k + 1]]`` in ``structure["users"]``
+    order).  The array count is ``S×F + F + 3`` whatever the user count.
 
     ``similarity`` optionally rides the precomputed item-similarity index
     along (reserved ``simidx_*`` array names plus a ``similarity`` meta
@@ -203,15 +241,72 @@ def _model_payload(
             arrays[f"cell_{s}_{f}"] = params
     for f, column in enumerate(model.encoded.columns):
         arrays[f"column_{f}"] = column
-    for k, user in enumerate(users):
-        arrays[f"assign_{k}"] = np.asarray(model.assignments[user], dtype=np.int64)
-        arrays[f"times_{k}"] = np.asarray(model._assignment_times[user], dtype=np.float64)
+    arrays["levels"], arrays["times"], arrays["offsets"] = _flat_assignments(model, users)
     if similarity is not None:
         arrays.update(
             _similarity_arrays(similarity, len(structure["item_ids"]))
         )
         structure["similarity"] = dict(similarity.get("meta") or {})
     return structure, arrays
+
+
+def _check_version(structure: Mapping, source: object) -> None:
+    version = structure.get("format_version")
+    if version not in _READABLE_VERSIONS:
+        raise DataError(
+            f"{source}: unsupported model format version {version!r} "
+            f"(expected {_FORMAT_VERSION}, or legacy 1)"
+        )
+
+
+def _user_bounds(
+    levels: np.ndarray, times: np.ndarray, offsets: np.ndarray, num_users: int, source: str
+) -> list[int]:
+    """Validate the columnar assignment arrays; the offsets as ints.
+
+    A torn or hand-edited payload must fail here as a typed error naming
+    ``source``, not later as a silently short or overlapping user slice.
+    """
+    if levels.ndim != 1 or times.ndim != 1 or len(levels) != len(times):
+        raise DataError(
+            f"{source}: levels ({levels.shape}) and times ({times.shape}) "
+            "must be flat arrays of one length"
+        )
+    if offsets.ndim != 1 or offsets.dtype.kind not in "iu" or len(offsets) != num_users + 1:
+        raise DataError(
+            f"{source}: offsets must be {num_users + 1} integers for "
+            f"{num_users} users, got shape {offsets.shape} of {offsets.dtype}"
+        )
+    if offsets[0] != 0:
+        raise DataError(f"{source}: offsets must start at 0, not {int(offsets[0])}")
+    if np.any(offsets[1:] < offsets[:-1]):
+        raise DataError(f"{source}: offsets decrease")
+    if offsets[-1] != len(levels):
+        raise DataError(
+            f"{source}: offsets end at {int(offsets[-1])} but levels hold "
+            f"{len(levels)} entries"
+        )
+    return offsets.tolist()
+
+
+def _restore_assignments(
+    structure: Mapping, get_array: Callable[[str], np.ndarray], source: str
+) -> tuple[dict, dict]:
+    """``(assignments, times)``: per-user slice views into the flat arrays
+    (per-user arrays for a version 1 payload)."""
+    users = structure["users"]
+    if structure.get("format_version") == 1:
+        return (
+            {user: get_array(f"assign_{k}") for k, user in enumerate(users)},
+            {user: get_array(f"times_{k}") for k, user in enumerate(users)},
+        )
+    levels, times = get_array("levels"), get_array("times")
+    bounds = _user_bounds(levels, times, get_array("offsets"), len(users), source)
+    spans = list(zip(bounds, bounds[1:]))
+    return (
+        {user: levels[lo:hi] for user, (lo, hi) in zip(users, spans)},
+        {user: times[lo:hi] for user, (lo, hi) in zip(users, spans)},
+    )
 
 
 def _restore_model(
@@ -240,9 +335,7 @@ def _restore_model(
             for s in range(num_levels)
         )
         columns = tuple(get_array(f"column_{f}") for f in range(len(feature_set)))
-        users = structure["users"]
-        assignments = {user: get_array(f"assign_{k}") for k, user in enumerate(users)}
-        times = {user: get_array(f"times_{k}") for k, user in enumerate(users)}
+        assignments, times = _restore_assignments(structure, get_array, source)
     except KeyError as exc:
         raise DataError(
             f"{source}: model payload is missing required array ({exc.args[0]})"
@@ -352,22 +445,29 @@ def save_model(
     return json_path, npz_path
 
 
-def artifact_metadata(path_prefix: str | Path) -> dict:
-    """Describe a saved model pair without reconstructing the model.
+def _similarity_payload(
+    structure: Mapping, get_array: Callable[[str], np.ndarray], source: str
+) -> dict | None:
+    """``{"neighbors", "scores", "meta"}`` of a payload that carries an
+    item-similarity index, ``None`` for one saved without."""
+    meta = structure.get("similarity")
+    if meta is None:
+        return None
+    try:
+        return {
+            "neighbors": get_array(f"{_SIMILARITY_PREFIX}neighbors"),
+            "scores": get_array(f"{_SIMILARITY_PREFIX}scores"),
+            "meta": dict(meta),
+        }
+    except KeyError as exc:
+        raise DataError(
+            f"{source}: structure promises a similarity index but the payload "
+            f"lacks {exc.args[0]}"
+        ) from None
 
-    Reads only the structure JSON plus a streaming checksum of the NPZ, so
-    it is cheap enough for ``repro inspect`` and the serving ``/healthz``
-    endpoint to call on every artifact.  Raises
-    :class:`~repro.exceptions.DataError` when the JSON half is missing or
-    malformed; a missing or mismatched NPZ is *reported* instead
-    (``checksum_verified`` false, ``npz_bytes`` ``None``) so operators can
-    inspect a torn pair rather than being told nothing about it.
-    """
-    prefix = Path(path_prefix)
-    json_path = prefix.with_suffix(".json")
-    npz_path = prefix.with_suffix(".npz")
-    if not json_path.exists():
-        raise DataError(f"missing model structure file {json_path}")
+
+def _read_structure(json_path: Path) -> tuple[bytes, dict]:
+    """The structure JSON's raw bytes and its parsed object."""
     json_bytes = json_path.read_bytes()
     try:
         structure = json.loads(json_bytes.decode("utf-8"))
@@ -375,17 +475,21 @@ def artifact_metadata(path_prefix: str | Path) -> dict:
         raise DataError(f"{json_path}: malformed model file ({exc})") from exc
     if not isinstance(structure, dict):
         raise DataError(f"{json_path}: model structure must be a JSON object")
+    return json_bytes, structure
 
+
+def _describe(
+    structure: Mapping,
+    json_path: Path,
+    npz_path: Path,
+    json_size: int,
+    npz_size: int | None,
+    npz_digest: str | None,
+) -> dict:
+    """The metadata dict :func:`artifact_metadata` and :func:`load_artifact`
+    report, from one already-read pair."""
     checksums = structure.get("checksums") or {}
     expected = checksums.get("npz")
-    npz_size: int | None = None
-    actual: str | None = None
-    if npz_path.exists():
-        npz_payload = npz_path.read_bytes()
-        npz_size = len(npz_payload)
-        actual = _sha256_hex(npz_payload)
-    verified = expected is not None and actual == expected
-
     trace = structure.get("trace") or {}
     telemetry = structure.get("telemetry") or {}
     features = [entry.get("name") for entry in structure.get("features", [])]
@@ -393,11 +497,11 @@ def artifact_metadata(path_prefix: str | Path) -> dict:
         "json_path": str(json_path),
         "npz_path": str(npz_path),
         "format_version": structure.get("format_version"),
-        "json_bytes": len(json_bytes),
+        "json_bytes": json_size,
         "npz_bytes": npz_size,
         "checksum_algorithm": checksums.get("algorithm"),
         "npz_checksum": expected,
-        "checksum_verified": verified,
+        "checksum_verified": expected is not None and npz_digest == expected,
         "num_users": len(structure.get("users", [])),
         "num_items": len(structure.get("item_ids", [])),
         "num_levels": structure.get("num_levels"),
@@ -410,8 +514,55 @@ def artifact_metadata(path_prefix: str | Path) -> dict:
     }
 
 
-def load_model(path_prefix: str | Path) -> SkillModel:
-    """Reconstruct a model written by :func:`save_model`."""
+def artifact_metadata(path_prefix: str | Path) -> dict:
+    """Describe a saved model pair without reconstructing the model.
+
+    Reads only the structure JSON plus a streaming checksum of the NPZ, so
+    it is cheap enough for ``repro inspect`` to call on every artifact.
+    Raises :class:`~repro.exceptions.DataError` when the JSON half is
+    missing or malformed; a missing or mismatched NPZ is *reported*
+    instead (``checksum_verified`` false, ``npz_bytes`` ``None``) so
+    operators can inspect a torn pair rather than being told nothing
+    about it.  A server that also needs the model reads all three from
+    one read of the pair with :func:`load_artifact`.
+    """
+    prefix = Path(path_prefix)
+    json_path = prefix.with_suffix(".json")
+    npz_path = prefix.with_suffix(".npz")
+    if not json_path.exists():
+        raise DataError(f"missing model structure file {json_path}")
+    json_bytes, structure = _read_structure(json_path)
+    npz_size: int | None = None
+    digest: str | None = None
+    if npz_path.exists():
+        npz_payload = npz_path.read_bytes()
+        npz_size = len(npz_payload)
+        digest = _sha256_hex(npz_payload)
+    return _describe(structure, json_path, npz_path, len(json_bytes), npz_size, digest)
+
+
+class LoadedArtifact(NamedTuple):
+    """``(model, metadata, similarity)`` from one verified read of a pair.
+
+    ``similarity`` is the ``{"neighbors", "scores", "meta"}`` payload, or
+    ``None`` for an artifact saved without an index.
+    """
+
+    model: SkillModel
+    metadata: dict
+    similarity: dict | None
+
+
+def load_artifact(path_prefix: str | Path) -> LoadedArtifact:
+    """Read a saved pair once: its model, metadata and similarity payload.
+
+    The JSON and the NPZ are each read once and the NPZ is hashed once;
+    the three results all come from those bytes, so a writer replacing
+    the pair mid-read can never pair one generation's model with the
+    next one's metadata or index.  A checksum mismatch (torn or corrupted
+    pair), a truncated archive, a missing array or torn ``offsets`` is a
+    :class:`~repro.exceptions.DataError` naming the file.
+    """
     registry = get_registry()
     start = registry.clock()
     prefix = Path(path_prefix)
@@ -419,25 +570,17 @@ def load_model(path_prefix: str | Path) -> SkillModel:
     npz_path = prefix.with_suffix(".npz")
     if not json_path.exists() or not npz_path.exists():
         raise DataError(f"missing model files {json_path} / {npz_path}")
-    try:
-        structure = json.loads(json_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{json_path}: malformed model file ({exc})") from exc
-    if structure.get("format_version") != _FORMAT_VERSION:
-        raise DataError(
-            f"{json_path}: unsupported model format version "
-            f"{structure.get('format_version')!r} (expected {_FORMAT_VERSION})"
-        )
+    json_bytes, structure = _read_structure(json_path)
+    _check_version(structure, json_path)
     npz_bytes = npz_path.read_bytes()
-    checksums = structure.get("checksums")
-    if checksums and "npz" in checksums:
-        actual = _sha256_hex(npz_bytes)
-        if actual != checksums["npz"]:
-            raise DataError(
-                f"{npz_path}: checksum mismatch (expected {checksums['npz'][:12]}…, "
-                f"got {actual[:12]}…) — the model pair is torn or corrupted; "
-                f"re-save the model or restore both files from the same write"
-            )
+    digest = _sha256_hex(npz_bytes)
+    expected = (structure.get("checksums") or {}).get("npz")
+    if expected is not None and digest != expected:
+        raise DataError(
+            f"{npz_path}: checksum mismatch (expected {expected[:12]}…, "
+            f"got {digest[:12]}…) — the model pair is torn or corrupted; "
+            f"re-save the model or restore both files from the same write"
+        )
     try:
         npz = np.load(io.BytesIO(npz_bytes))
     except Exception as exc:  # zipfile.BadZipFile, ValueError, OSError
@@ -447,7 +590,10 @@ def load_model(path_prefix: str | Path) -> SkillModel:
 
     with npz as arrays:
         model = _restore_model(structure, arrays.__getitem__, source=str(npz_path))
-    users = structure["users"]
+        similarity = _similarity_payload(structure, arrays.__getitem__, str(npz_path))
+    metadata = _describe(
+        structure, json_path, npz_path, len(json_bytes), len(npz_bytes), digest
+    )
     elapsed = registry.clock() - start
     registry.histogram("model.load_seconds").observe(elapsed)
     _log.info(
@@ -456,12 +602,17 @@ def load_model(path_prefix: str | Path) -> SkillModel:
             "obs": {
                 "prefix": str(prefix),
                 "bytes": len(npz_bytes),
-                "users": len(users),
+                "users": len(structure["users"]),
                 "seconds": round(elapsed, 6),
             }
         },
     )
-    return model
+    return LoadedArtifact(model, metadata, similarity)
+
+
+def load_model(path_prefix: str | Path) -> SkillModel:
+    """Reconstruct a model written by :func:`save_model`."""
+    return load_artifact(path_prefix).model
 
 
 def load_similarity_payload(path_prefix: str | Path) -> dict | None:
@@ -474,43 +625,7 @@ def load_similarity_payload(path_prefix: str | Path) -> dict | None:
     verified exactly as :func:`load_model` does: a torn pair must not
     serve a stale index either.
     """
-    prefix = Path(path_prefix)
-    json_path = prefix.with_suffix(".json")
-    npz_path = prefix.with_suffix(".npz")
-    if not json_path.exists() or not npz_path.exists():
-        raise DataError(f"missing model files {json_path} / {npz_path}")
-    try:
-        structure = json.loads(json_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{json_path}: malformed model file ({exc})") from exc
-    meta = structure.get("similarity")
-    if meta is None:
-        return None
-    npz_bytes = npz_path.read_bytes()
-    checksums = structure.get("checksums")
-    if checksums and "npz" in checksums:
-        actual = _sha256_hex(npz_bytes)
-        if actual != checksums["npz"]:
-            raise DataError(
-                f"{npz_path}: checksum mismatch — the model pair is torn or "
-                f"corrupted; refusing to load its similarity index"
-            )
-    try:
-        npz = np.load(io.BytesIO(npz_bytes))
-    except Exception as exc:  # zipfile.BadZipFile, ValueError, OSError
-        raise DataError(
-            f"{npz_path}: truncated or corrupted model archive ({exc})"
-        ) from exc
-    with npz as arrays:
-        try:
-            neighbors = np.array(arrays[f"{_SIMILARITY_PREFIX}neighbors"])
-            scores = np.array(arrays[f"{_SIMILARITY_PREFIX}scores"])
-        except KeyError as exc:
-            raise DataError(
-                f"{npz_path}: structure promises a similarity index but the "
-                f"archive lacks {exc.args[0]}"
-            ) from None
-    return {"neighbors": neighbors, "scores": scores, "meta": dict(meta)}
+    return load_artifact(path_prefix).similarity
 
 
 # ------------------------------------------------------------- shared memory
@@ -543,8 +658,13 @@ def model_resident_bytes(model: SkillModel) -> int:
     slack, so disk-loaded and shm-attached tenants are charged the same
     way by the serving registry's LRU budget.
     """
-    _structure, arrays = _model_payload(model)
-    return sum(int(np.asarray(array).nbytes) for array in arrays.values())
+    cells = sum(
+        _cell_payload(cell)[1].nbytes for row in model.parameters.cells for cell in row
+    )
+    columns = sum(np.asarray(column).nbytes for column in model.encoded.columns)
+    actions = sum(len(path) for path in model.assignments.values())
+    # int64 levels + float64 times per action, int64 offsets per user + 1.
+    return int(cells + columns + 16 * actions + 8 * (len(model.assignments) + 1))
 
 
 def publish_model_shm(
@@ -634,6 +754,25 @@ def publish_model_shm(
     return segment, descriptor
 
 
+def _segment_views(segment) -> tuple[int, dict, dict[str, np.ndarray]]:
+    """Header length, structure and read-only zero-copy array views of a
+    published segment."""
+    (header_bytes,) = struct.unpack("<Q", bytes(segment.buf[:8]))
+    header = json.loads(bytes(segment.buf[8 : 8 + header_bytes]).decode("utf-8"))
+    arrays_start = _aligned(8 + header_bytes)
+    views: dict[str, np.ndarray] = {}
+    for entry in header["arrays"]:
+        view = np.ndarray(
+            tuple(entry["shape"]),
+            dtype=np.dtype(entry["dtype"]),
+            buffer=segment.buf,
+            offset=arrays_start + int(entry["offset"]),
+        )
+        view.flags.writeable = False  # N readers, one physical copy
+        views[entry["name"]] = view
+    return header_bytes, header["structure"], views
+
+
 def attach_model_shm(descriptor: Mapping):
     """Rebuild a model around zero-copy views into a published segment.
 
@@ -663,27 +802,10 @@ def attach_model_shm(descriptor: Mapping):
                 f"{str(descriptor['sha256'])[:12]}…, got {digest[:12]}…) — "
                 "the segment does not hold the generation the manifest names"
             )
-        (header_bytes,) = struct.unpack("<Q", bytes(segment.buf[:8]))
+        header_bytes, structure, views = _segment_views(segment)
         if header_bytes != int(descriptor["header_bytes"]):
             raise DataError(f"shm:{name}: header length disagrees with descriptor")
-        header = json.loads(bytes(segment.buf[8 : 8 + header_bytes]).decode("utf-8"))
-        structure = header["structure"]
-        if structure.get("format_version") != _FORMAT_VERSION:
-            raise DataError(
-                f"shm:{name}: unsupported model format version "
-                f"{structure.get('format_version')!r} (expected {_FORMAT_VERSION})"
-            )
-        arrays_start = _aligned(8 + header_bytes)
-        views: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            view = np.ndarray(
-                tuple(entry["shape"]),
-                dtype=np.dtype(entry["dtype"]),
-                buffer=segment.buf,
-                offset=arrays_start + int(entry["offset"]),
-            )
-            view.flags.writeable = False  # N readers, one physical copy
-            views[entry["name"]] = view
+        _check_version(structure, f"shm:{name}")
         model = _restore_model(structure, views.__getitem__, source=f"shm:{name}")
     except BaseException:
         # Views created above die with this frame; the mapping can close.
@@ -706,27 +828,5 @@ def shm_similarity_payload(segment) -> dict | None:
     publisher shipped no index.  The views share the segment's lifetime
     rule: keep the segment mapped for as long as the payload is used.
     """
-    (header_bytes,) = struct.unpack("<Q", bytes(segment.buf[:8]))
-    header = json.loads(bytes(segment.buf[8 : 8 + header_bytes]).decode("utf-8"))
-    meta = header["structure"].get("similarity")
-    if meta is None:
-        return None
-    arrays_start = _aligned(8 + header_bytes)
-    views: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        if not entry["name"].startswith(_SIMILARITY_PREFIX):
-            continue
-        view = np.ndarray(
-            tuple(entry["shape"]),
-            dtype=np.dtype(entry["dtype"]),
-            buffer=segment.buf,
-            offset=arrays_start + int(entry["offset"]),
-        )
-        view.flags.writeable = False
-        views[entry["name"][len(_SIMILARITY_PREFIX):]] = view
-    if "neighbors" not in views or "scores" not in views:
-        raise DataError(
-            f"shm:{segment.name}: header promises a similarity index but the "
-            "array table lacks its entries"
-        )
-    return {"neighbors": views["neighbors"], "scores": views["scores"], "meta": dict(meta)}
+    _header_bytes, structure, views = _segment_views(segment)
+    return _similarity_payload(structure, views.__getitem__, f"shm:{segment.name}")

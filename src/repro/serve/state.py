@@ -13,7 +13,7 @@ writer and checksumming reader (:mod:`repro.core.serialize`):
 
 1. *watch* — each poll stats both files; a changed ``(mtime_ns, size)``
    signature marks a candidate reload.
-2. *validate* — :func:`~repro.core.serialize.load_model` verifies the
+2. *validate* — :func:`~repro.core.serialize.load_artifact` verifies the
    JSON-carried SHA-256 of the NPZ payload, so a pair caught mid-commit
    (the window between the two ``os.replace`` calls) or torn by a crash
    is a typed :class:`~repro.exceptions.DataError`, never a bad model.
@@ -44,10 +44,8 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.core.difficulty import PRIOR_EMPIRICAL, PRIOR_UNIFORM, generation_difficulty
 from repro.core.model import SkillModel
 from repro.core.serialize import (
-    artifact_metadata,
     attach_model_shm,
-    load_model,
-    load_similarity_payload,
+    load_artifact,
     model_resident_bytes,
     shm_similarity_payload,
 )
@@ -198,8 +196,10 @@ class ServingModel:
 
 
 def _build_bundle(prefix: Path, version: int) -> ServingModel:
-    model = load_model(prefix)
-    metadata = artifact_metadata(prefix)
+    # One read and one checksum of the pair: model, metadata and index all
+    # come from the same bytes, so a writer landing the next generation
+    # mid-reload cannot mix two generations into one bundle.
+    model, metadata, payload = load_artifact(prefix)
     difficulties = {
         PRIOR_UNIFORM: generation_difficulty(model, prior=PRIOR_UNIFORM),
         PRIOR_EMPIRICAL: generation_difficulty(model, prior=PRIOR_EMPIRICAL),
@@ -207,7 +207,6 @@ def _build_bundle(prefix: Path, version: int) -> ServingModel:
     # Artifacts saved with a precomputed similarity index bring it along;
     # older pairs leave ``similarity`` None and the bundle builds one
     # in-process on the first /recommend that needs it.
-    payload = load_similarity_payload(prefix)
     similarity = (
         ItemSimilarityIndex.from_payload(
             payload, model.encoded.vocabulary("__item_id__")

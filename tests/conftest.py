@@ -70,3 +70,39 @@ def fitted_tiny_model(tiny_log, tiny_catalog, tiny_feature_set):
         init_min_actions=5,
         max_iterations=20,
     )
+
+
+def _save_v1_artifact(model, prefix, **save_kwargs):
+    """Write ``model`` as a format-version-1 pair: per-user NPZ members
+    ``assign_{k}``/``times_{k}`` in place of the flat columnar arrays."""
+    import hashlib
+    import io
+    import json
+
+    from repro.core.serialize import save_model
+
+    json_path, npz_path = save_model(model, prefix, **save_kwargs)
+    structure = json.loads(json_path.read_text(encoding="utf-8"))
+    with np.load(npz_path) as npz:
+        arrays = {
+            name: npz[name]
+            for name in npz.files
+            if name not in ("levels", "times", "offsets")
+        }
+    for k, user in enumerate(structure["users"]):
+        arrays[f"assign_{k}"] = np.asarray(model.assignments[user], dtype=np.int64)
+        arrays[f"times_{k}"] = np.asarray(model._assignment_times[user], dtype=np.float64)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    npz_path.write_bytes(buffer.getvalue())
+    structure["format_version"] = 1
+    structure["checksums"]["npz"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+    json_path.write_text(json.dumps(structure, ensure_ascii=False), encoding="utf-8")
+    return json_path, npz_path
+
+
+@pytest.fixture
+def save_v1_artifact():
+    """``save(model, prefix, **save_model_kwargs)`` writing a legacy
+    format-version-1 pair."""
+    return _save_v1_artifact

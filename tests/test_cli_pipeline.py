@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.serialize import _FORMAT_VERSION
 from repro.core.features import FeatureKind, FeatureSet, FeatureSpec
 from repro.exceptions import ConfigurationError
 
@@ -203,7 +204,7 @@ class TestCliObservability:
         assert main(["inspect", model]) == 0
         out = capsys.readouterr().out
         assert "## Artifacts" in out
-        assert "format version: 1" in out
+        assert f"format version: {_FORMAT_VERSION}" in out
         assert "(verified)" in out
         assert "telemetry run: " in out
         # the run id printed in Artifacts is the saved telemetry's run id

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.serialize import artifact_metadata, load_model, save_model
-from repro.core.serialize import _cell_payload
+from repro.core.serialize import _FORMAT_VERSION, _cell_payload
 from repro.exceptions import DataError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serve import (
@@ -634,6 +634,27 @@ class TestChaosParity:
         wal = WriteAheadLog(wal_dir)
         wal.append(self.BATCHES[2])
         self._verify(prefix, wal_dir, tiny_log, baseline)
+
+    def test_restart_over_a_legacy_v1_artifact(
+        self, fitted_tiny_model, tiny_log, tmp_path, save_v1_artifact
+    ):
+        """A fold-in server restarting over an artifact an older release
+        published (per-user arrays, format version 1) resumes from its
+        embedded watermark and republishes in the current format."""
+        baseline = self._baseline(fitted_tiny_model, tiny_log, tmp_path)
+        prefix, wal_dir = _fresh_site(fitted_tiny_model, tmp_path, "legacy")
+        wal = WriteAheadLog(wal_dir)
+        wal.append(self.BATCHES[0])
+        _drain_fully(FoldinWorker(wal, prefix, tiny_log))
+        extra = artifact_metadata(prefix)["extra"]
+        save_v1_artifact(load_model(prefix), prefix, extra=extra)
+        assert artifact_metadata(prefix)["format_version"] == 1
+        wal.close()
+        wal = WriteAheadLog(wal_dir)
+        wal.append(self.BATCHES[1])
+        wal.append(self.BATCHES[2])
+        self._verify(prefix, wal_dir, tiny_log, baseline)
+        assert artifact_metadata(prefix)["format_version"] == _FORMAT_VERSION
 
     def test_restart_after_worker_death_mid_fold(
         self, fitted_tiny_model, tiny_log, tmp_path

@@ -125,6 +125,24 @@ class TestModelShm:
             segment.close()
             segment.unlink()
 
+    def test_resident_bytes_match_the_shm_payload(self, fitted_tiny_model):
+        from repro.core.serialize import _SHM_ALIGN, _model_payload
+
+        _structure, arrays = _model_payload(fitted_tiny_model)
+        resident = model_resident_bytes(fitted_tiny_model)
+        assert resident == sum(array.nbytes for array in arrays.values())
+        segment, descriptor = publish_model_shm(fitted_tiny_model)
+        try:
+            # Only the length word, the header and per-array alignment
+            # padding separate the charge from the segment size.
+            slack = descriptor["bytes"] - resident
+            assert 0 <= slack <= 8 + descriptor["header_bytes"] + _SHM_ALIGN * (
+                len(arrays) + 1
+            )
+        finally:
+            segment.close()
+            segment.unlink()
+
 
 # -------------------------------------------------------------- registry
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.core.serialize import artifact_metadata, save_model
+from repro.core.serialize import _FORMAT_VERSION, artifact_metadata, save_model
 from repro.exceptions import ConfigurationError, DataError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serve import AdmissionConfig, AdmissionController, MicroBatcher, ModelState
@@ -218,7 +218,7 @@ def _bump_mtime(prefix):
 class TestArtifactMetadata:
     def test_reports_the_pair(self, model_prefix, fitted_tiny_model):
         meta = artifact_metadata(model_prefix)
-        assert meta["format_version"] == 1
+        assert meta["format_version"] == _FORMAT_VERSION
         assert meta["checksum_algorithm"] == "sha256"
         assert meta["checksum_verified"] is True
         assert len(meta["npz_checksum"]) == 64
@@ -260,6 +260,27 @@ class TestModelState:
         assert bundle.version == 1
         assert bundle.metadata["checksum_verified"] is True
         assert set(bundle.difficulties) == {"uniform", "empirical"}
+
+    def test_one_bundle_build_hashes_the_npz_once(self, model_prefix, monkeypatch):
+        from repro.core import serialize
+
+        hashed = []
+        real = serialize._sha256_hex
+        monkeypatch.setattr(
+            serialize, "_sha256_hex", lambda data: hashed.append(len(data)) or real(data)
+        )
+        bundle = ModelState(model_prefix).load()
+        assert hashed == [model_prefix.with_suffix(".npz").stat().st_size]
+        assert bundle.metadata["checksum_verified"] is True
+        assert bundle.metadata["npz_bytes"] == hashed[0]
+
+    def test_legacy_v1_artifact_serves(self, fitted_tiny_model, tmp_path, save_v1_artifact):
+        save_v1_artifact(fitted_tiny_model, tmp_path / "legacy")
+        bundle = ModelState(tmp_path / "legacy").load()
+        assert bundle.metadata["format_version"] == 1
+        assert bundle.metadata["checksum_verified"] is True
+        for user, path in fitted_tiny_model.assignments.items():
+            assert list(bundle.model.assignments[user]) == list(path)
 
     def test_unchanged_artifacts_do_not_reload(self, model_prefix):
         state = ModelState(model_prefix)
